@@ -5,8 +5,8 @@ strategy dynamics."""
 from .analysis import (RecurrenceMatrix, RqaMetrics, StateSeries,
                        default_epsilon, recurrence_matrix, rqa_metrics,
                        surrogate_shuffle)
-from .coevo import (AdaptiveClimber, QuiverField, detect_attractors,
-                    mutate_strategy, origin_plateau, quiver_sample)
+from .coevo import (QuiverField, detect_attractors, origin_plateau,
+                    quiver_sample)
 from .harness import (ConfigError, RosterEntry, Schedule, SessionConfig,
                       SessionResult, assign_customer_orders,
                       equilibrium_surplus, parse_session_config, run_session)
@@ -17,8 +17,9 @@ from .stgp import (EvalContext, GenParams, GenStats, Individual, Population,
                    canonicalize, crossover, eval_tree, format_tree,
                    parse_tree, point_mutate, quote_from_tree, run_experiment,
                    run_generation, select_parent)
-from .traders import (CustomerOrder, PrziPmf, Strategy, TraderState,
-                      format_strategy, gvwy_quote, parse_strategy, przi_pmf,
-                      przi_quote, shvr_quote, zic_quote)
+from .traders import (AdaptiveClimber, CustomerOrder, PrziPmf, Strategy,
+                      TraderState, format_strategy, gvwy_quote,
+                      mutate_strategy, parse_strategy, przi_pmf, przi_quote,
+                      shvr_quote, zic_quote)
 
 __version__ = "0.1.0"

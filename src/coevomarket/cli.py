@@ -49,14 +49,6 @@ def main(argv=None) -> int:
         return 2
     return 0
 
-def _master_seed(doc: dict, override):
-    if override is not None:
-        return override
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise harness.ConfigError("seed must be an integer")
-    return seed
-
 def _session_cmd(doc: dict, seed) -> dict:
     cfg = harness.parse_session_config(doc, seed=seed)
     result = harness.run_session(cfg)
@@ -69,37 +61,34 @@ def _session_cmd(doc: dict, seed) -> dict:
     return {"tape.csv": tape.getvalue(), "profits.csv": profits.getvalue()}
 
 def _quiver_cmd(doc: dict, seed) -> dict:
-    harness._reject_unknown(doc, {"grid_res", "horizon", "reps", "workers",
-                                  "seed", "session"}, "quiver config")
-    if "session" not in doc:
-        raise harness.ConfigError("quiver config needs a 'session' template")
-    template = harness.parse_session_config(doc["session"])
-    field = coevo.quiver_sample(template,
-                                grid_res=doc.get("grid_res", 21),
-                                horizon=doc.get("horizon", 1000),
-                                reps=doc.get("reps", 5),
-                                seed=_master_seed(doc, seed),
-                                workers=doc.get("workers", 1))
+    f = harness.read_fields(doc, "quiver config", {
+        "grid_res": (int, 21), "horizon": (int, 1000), "reps": (int, 5),
+        "workers": (int, 1), "seed": (int, 0),
+        "session": (dict, harness.REQUIRED),
+    })
+    template = harness.parse_session_config(f["session"])
+    field = coevo.quiver_sample(template, grid_res=f["grid_res"],
+                                horizon=f["horizon"], reps=f["reps"],
+                                seed=seed if seed is not None else f["seed"],
+                                workers=f["workers"])
     out = io.StringIO()
     coevo.export_quiver(field, out)
     return {"quiver.csv": out.getvalue()}
 
 def _coevolve_cmd(doc: dict, seed) -> dict:
-    harness._reject_unknown(doc, {"eps_frac", "theiler", "l_min", "v_min",
-                                  "session"}, "coevolve config")
-    if "session" not in doc:
-        raise harness.ConfigError("coevolve config needs a 'session' entry")
-    cfg = harness.parse_session_config(doc["session"], seed=seed)
+    f = harness.read_fields(doc, "coevolve config", {
+        "eps_frac": (float, 0.1), "theiler": (int, 1), "l_min": (int, 2),
+        "v_min": (int, 2), "session": (dict, harness.REQUIRED),
+    })
+    cfg = harness.parse_session_config(f["session"], seed=seed)
     result = harness.run_session(cfg)
     log = result.strategy_log
     if log is None:
         raise harness.ConfigError("coevolve roster has no adaptive (PRZI_SHC) "
                                   "traders to log")
-    eps = analysis.default_epsilon(log, frac=doc.get("eps_frac", 0.1))
-    matrix = analysis.recurrence_matrix(log, eps,
-                                        theiler_w=doc.get("theiler", 1))
-    metrics = analysis.rqa_metrics(matrix, l_min=doc.get("l_min", 2),
-                                   v_min=doc.get("v_min", 2))
+    eps = analysis.default_epsilon(log, frac=f["eps_frac"])
+    matrix = analysis.recurrence_matrix(log, eps, theiler_w=f["theiler"])
+    metrics = analysis.rqa_metrics(matrix, l_min=f["l_min"], v_min=f["v_min"])
 
     log_ids = [e.tid for e in cfg.roster if e.strategy.kind == "PRZI_SHC"]
     strategies = io.StringIO()
@@ -115,23 +104,24 @@ def _coevolve_cmd(doc: dict, seed) -> dict:
             "rqa.csv": rqa.getvalue()}
 
 def _stgp_cmd(doc: dict, seed) -> dict:
-    harness._reject_unknown(doc, {"generations", "seed_genome", "p_x", "p_mut",
-                                  "max_depth", "const_pool", "eps_sel", "seed",
-                                  "session"}, "stgp config")
-    for key in ("generations", "seed_genome", "session"):
-        if key not in doc:
-            raise harness.ConfigError(f"stgp config needs {key!r}")
-    template = harness.parse_session_config(doc["session"], template=True)
-    params = stgp.GenParams(
-        p_x=doc.get("p_x", 0.9),
-        p_mut=doc.get("p_mut", 0.05),
-        max_depth=doc.get("max_depth", 8),
-        const_pool=tuple(doc.get("const_pool", (1, 7))),
-        eps_sel=doc.get("eps_sel", 1e-6),
-    )
-    genome = stgp.parse_tree(doc["seed_genome"])
-    series = stgp.run_experiment(template, genome, doc["generations"], params,
-                                 _master_seed(doc, seed))
+    f = harness.read_fields(doc, "stgp config", {
+        "generations": (int, harness.REQUIRED),
+        "seed_genome": (str, harness.REQUIRED),
+        "p_x": (float, 0.9), "p_mut": (float, 0.05), "max_depth": (int, 8),
+        "const_pool": (list, [1, 7]), "eps_sel": (float, 1e-6),
+        "seed": (int, 0), "session": (dict, harness.REQUIRED),
+    })
+    if not all(stgp.is_const(c) for c in f["const_pool"]):
+        raise harness.ConfigError("stgp config key 'const_pool' must be a "
+                                  "list of numbers")
+    template = harness.parse_session_config(f["session"], template=True)
+    params = stgp.GenParams(p_x=f["p_x"], p_mut=f["p_mut"],
+                            max_depth=f["max_depth"],
+                            const_pool=tuple(f["const_pool"]),
+                            eps_sel=f["eps_sel"])
+    genome = stgp.parse_tree(f["seed_genome"])
+    series = stgp.run_experiment(template, genome, f["generations"], params,
+                                 seed if seed is not None else f["seed"])
     stats = io.StringIO()
     stgp.export_genstats(series, stats)
     elites = io.StringIO()

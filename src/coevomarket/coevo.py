@@ -1,12 +1,8 @@
-"""Prod/dev adaptive strategy lifecycle and phase-space drift sampling.
+"""Phase-space drift sampling of adaptive (PRZI_SHC) trader pairs.
 
-An adaptive trader carries one live ("prod") PRZI strategy value plus
-one or more candidate ("dev") values.  Candidates are evaluated
-sequentially, each over a fixed number of its own trades; after the
-last window the most profitable value is adopted and the others are
-regenerated as mutants of it.  Sampling the net drift of a pair of such
-traders over a grid of initial (s_buyer, s_seller) values yields a
-quiver field of the coevolutionary dynamics.
+Sampling the net drift of an adaptive buyer and seller over a grid of
+initial (s_buyer, s_seller) values yields a quiver field of the
+coevolutionary dynamics; attractor and plateau detection read it.
 """
 
 import math
@@ -15,91 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import harness
+from .lob import ASK, BID
 from .seeds import derive_seed
-
-
-def mutate_strategy(p: float, width: float, rng) -> float:
-    """Propose a nearby strategy value: p + U(-width, +width), clipped
-    to [-1, +1]."""
-    return min(1.0, max(-1.0, p + rng.uniform(-width, width)))
-
-
-class AdaptiveClimber:
-    """k-point stochastic hill-climber over PRZI strategy values.
-
-    Slot 0 holds the prod value P, slots 1..k-1 hold dev candidates.
-    The active slot supplies the trader's quoting behavior until it has
-    completed ``n_trades`` trades, then the next slot takes over; when
-    the last slot finishes, the most profitable value is installed as
-    the new P (the incumbent wins ties) and every other slot is refilled
-    with a fresh mutant of it.
-
-    A trader that never trades never adapts: windows are counted in
-    trades, not time.
-    """
-
-    def __init__(self, s0: float, rng, k: int = 2, n_trades: int = 4,
-                 width: float = 0.05):
-        if not -1.0 <= s0 <= 1.0:
-            raise ValueError(f"initial s {s0} outside [-1, +1]")
-        if k < 2:
-            raise ValueError(f"need at least 2 strategy slots, got k={k}")
-        if n_trades < 1:
-            raise ValueError(f"evaluation window must be >= 1 trade, got {n_trades}")
-        self.k = k
-        self.n_trades = n_trades
-        self.width = width
-        self.rng = rng
-        self.slots = [s0] + [mutate_strategy(s0, width, rng) for _ in range(k - 1)]
-        self.counts = [0] * k
-        self.profits = [0.0] * k
-        self.active = 0
-        self.adoptions = 0
-
-    @property
-    def prod_s(self) -> float:
-        return self.slots[0]
-
-    @property
-    def current_s(self) -> float:
-        return self.slots[self.active]
-
-    def observe_trade(self, profit) -> bool:
-        """Credit one completed trade to the active slot.
-
-        Zero-profit trades still advance the window.  Returns True when
-        this trade completed the last window and an adoption happened.
-        """
-        self.profits[self.active] += profit
-        self.counts[self.active] += 1
-        if self.counts[self.active] < self.n_trades:
-            return False
-        if self.active < self.k - 1:
-            self.active += 1
-            return False
-        self._adopt()
-        return True
-
-    def adopt(self):
-        """Force an adoption; errors unless every slot finished its window."""
-        if any(c < self.n_trades for c in self.counts):
-            raise RuntimeError("adoption triggered before every strategy "
-                               "completed its evaluation window")
-        self._adopt()
-
-    def _adopt(self):
-        best = 0
-        for i in range(1, self.k):
-            if self.profits[i] > self.profits[best]:
-                best = i
-        p = self.slots[best]
-        self.slots[0] = p
-        for i in range(1, self.k):
-            self.slots[i] = mutate_strategy(p, self.width, self.rng)
-        self.counts = [0] * self.k
-        self.profits = [0.0] * self.k
-        self.active = 0
-        self.adoptions += 1
+# The climber lives in traders; the name stays bound here because
+# perfbench/tracing.py patches coevo.AdaptiveClimber.observe_trade.
+from .traders import AdaptiveClimber  # noqa: F401
 
 
 @dataclass
@@ -124,15 +41,13 @@ class QuiverField:
 def _sample_point(args):
     """Mean displacement at one grid point; top-level so worker
     processes can unpickle it."""
-    from .harness import run_session
-
     template, buyer_id, seller_id, i, j, s_b, s_s, horizon, reps, seed = args
     acc_b = 0.0
     acc_s = 0.0
     for rep in range(reps):
         cfg = _point_config(template, buyer_id, seller_id, s_b, s_s, horizon,
                             derive_seed(seed, "quiver", i, j, rep))
-        result = run_session(cfg)
+        result = harness.run_session(cfg)
         acc_b += result.final_strategies[buyer_id] - s_b
         acc_s += result.final_strategies[seller_id] - s_s
     return i, j, acc_b / reps, acc_s / reps
@@ -160,8 +75,6 @@ def quiver_sample(session_template, grid_res: int, horizon: int, reps: int,
     independent derived seeds, so the field is deterministic in
     (template, seed) and independent of worker scheduling.
     """
-    from .lob import BID, ASK
-
     if grid_res < 2:
         raise ValueError(f"grid_res must be >= 2, got {grid_res}")
     if reps < 1:
@@ -309,12 +222,12 @@ def _components(mask: np.ndarray) -> list:
     return components
 
 
-def export_quiver(field: QuiverField, fileobj, normalize: bool = True):
+def export_quiver(field: QuiverField, fileobj):
     """Write the field as CSV: s_b,s_s,d_sb,d_ss,magnitude,reps.
 
-    With ``normalize`` (the default, matching uniform-length quiver
-    rendering) the vector columns hold unit directions and the raw
-    length lives in the magnitude column; zero vectors stay (0, 0).
+    The vector columns hold unit directions, matching uniform-length
+    quiver rendering, and the raw length lives in the magnitude column;
+    zero vectors stay (0, 0).
     """
     fileobj.write("s_b,s_s,d_sb,d_ss,magnitude,reps\n")
     res = len(field.grid)
@@ -323,7 +236,7 @@ def export_quiver(field: QuiverField, fileobj, normalize: bool = True):
             db = float(field.d_sb[i, j])
             ds = float(field.d_ss[i, j])
             m = math.hypot(db, ds)
-            if normalize and m > 0.0:
+            if m > 0.0:
                 db, ds = db / m, ds / m
             fileobj.write(f"{float(field.grid[i])!r},{float(field.grid[j])!r},"
                           f"{db!r},{ds!r},{m!r},{field.reps}\n")

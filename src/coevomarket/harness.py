@@ -263,97 +263,96 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
+REQUIRED = object()  # read_fields default marker: the key must be present
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def read_fields(doc, where: str, fields: dict) -> dict:
+    """Read a config object against ``{key: (type, default)}``.
+
+    Unknown keys, missing REQUIRED keys and values of the wrong type are
+    ConfigErrors.  A float field also takes an int; a bool never counts
+    as a number.  Values come back as written, absent keys as their
+    default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in fields.items():
+        if key not in doc:
+            if default is REQUIRED:
+                raise ConfigError(f"{where} needs {key!r}")
+            out[key] = default
+            continue
+        value = doc[key]
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{where} key {key!r} must be "
+                              f"{_TYPE_NAMES[kind]}, got {value!r}")
+        out[key] = value
+    return out
+
+
 def parse_session_config(doc: dict, seed=None,
                          template: bool = False) -> SessionConfig:
     """Build a SessionConfig from a plain dict (reference encoding:
     JSON).  Field names mirror SessionConfig; unknown keys are errors.
     ``seed`` overrides the document's seed when given."""
-    if not isinstance(doc, dict):
-        raise ConfigError("session config must be an object")
-    known = {"duration", "seed", "sys_min", "sys_max", "log_interval",
-             "quote_mode", "shave", "roster", "schedules"}
-    _reject_unknown(doc, known, "session config")
+    f = read_fields(doc, "session config", {
+        "duration": (int, REQUIRED), "seed": (int, 0),
+        "sys_min": (int, 1), "sys_max": (int, 500),
+        "log_interval": (int, 100), "quote_mode": (str, "raw"),
+        "shave": (int, 1), "roster": (list, []), "schedules": (list, []),
+    })
     try:
-        bounds = PriceBounds(sys_min=doc.get("sys_min", 1),
-                             sys_max=doc.get("sys_max", 500))
+        bounds = PriceBounds(sys_min=f["sys_min"], sys_max=f["sys_max"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    roster = tuple(_parse_roster(doc.get("roster", [])))
-    schedules = tuple(_parse_schedules(doc.get("schedules", [])))
     cfg = SessionConfig(
-        duration=_int_field(doc, "duration", required=True),
-        roster=roster,
-        schedules=schedules,
+        duration=f["duration"],
+        roster=tuple(_parse_roster(f["roster"])),
+        schedules=tuple(_parse_schedule(e) for e in f["schedules"]),
         bounds=bounds,
-        seed=seed if seed is not None else doc.get("seed", 0),
-        log_interval=_int_field(doc, "log_interval", default=100),
-        quote_mode=doc.get("quote_mode", "raw"),
-        shave=_int_field(doc, "shave", default=1),
+        seed=seed if seed is not None else f["seed"],
+        log_interval=f["log_interval"],
+        quote_mode=f["quote_mode"],
+        shave=f["shave"],
     )
     validate_config(cfg, template=template)
     return cfg
 
 
 def _parse_roster(entries) -> list:
-    if not isinstance(entries, list):
-        raise ConfigError("roster must be a list")
     out = []
     for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"bad roster entry {entry!r}")
-        _reject_unknown(entry, {"id", "count", "prefix", "side", "strategy"},
-                        "roster entry")
+        f = read_fields(entry, "roster entry", {
+            "id": (str, None), "count": (int, None), "prefix": (str, "T"),
+            "side": (str, REQUIRED), "strategy": (str, REQUIRED),
+        })
         try:
-            strategy = parse_strategy(entry["strategy"])
-        except KeyError:
-            raise ConfigError(f"roster entry missing strategy: {entry!r}") from None
+            strategy = parse_strategy(f["strategy"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        side = entry.get("side")
-        if "count" in entry:
-            prefix = entry.get("prefix", "T")
-            for i in range(entry["count"]):
-                out.append(RosterEntry(tid=f"{prefix}{i:03d}", side=side,
-                                       strategy=strategy))
-        elif "id" in entry:
-            out.append(RosterEntry(tid=entry["id"], side=side,
+        if f["count"] is not None:
+            for i in range(f["count"]):
+                out.append(RosterEntry(tid=f"{f['prefix']}{i:03d}",
+                                       side=f["side"], strategy=strategy))
+        elif f["id"] is not None:
+            out.append(RosterEntry(tid=f["id"], side=f["side"],
                                    strategy=strategy))
         else:
             raise ConfigError(f"roster entry needs 'id' or 'count': {entry!r}")
     return out
 
 
-def _parse_schedules(entries) -> list:
-    if not isinstance(entries, list):
-        raise ConfigError("schedules must be a list")
-    out = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"bad schedule entry {entry!r}")
-        _reject_unknown(entry, {"side", "p_min", "p_max", "mode", "interval"},
-                        "schedule")
-        try:
-            out.append(Schedule(side=entry["side"], p_min=entry["p_min"],
-                                p_max=entry["p_max"],
-                                mode=entry.get("mode", "uniform"),
-                                interval=entry.get("interval", 100)))
-        except KeyError as exc:
-            raise ConfigError(f"schedule missing key {exc}") from None
-    return out
-
-
-def _reject_unknown(doc: dict, known: set, where: str):
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
-
-
-def _int_field(doc: dict, key: str, default=None, required: bool = False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be an integer")
-    return value
+def _parse_schedule(entry) -> Schedule:
+    return Schedule(**read_fields(entry, "schedule", {
+        "side": (str, REQUIRED), "p_min": (int, REQUIRED),
+        "p_max": (int, REQUIRED), "mode": (str, "uniform"),
+        "interval": (int, 100),
+    }))

@@ -1,10 +1,11 @@
 """Limit order book with price-time priority and immediate matching.
 
 The book holds at most one resting order per trader: submitting a new
-order first removes any previous one from the same trader.  An incoming
-order that crosses the opposite side executes at the *resting* order's
-price, so the spread goes to whichever party arrived second.  Prices
-are integer ticks on a fixed system range.
+order first removes any previous one from the same trader.  Orders are
+for one unit each.  An incoming order that crosses the opposite side
+executes at the *resting* order's price, so the spread goes to
+whichever party arrived second.  Prices are integer ticks on a fixed
+system range.
 """
 
 import csv
@@ -113,9 +114,6 @@ class _BookSide:
     def get(self, trader_id: str):
         return self._orders.get(trader_id)
 
-    def orders(self):
-        return [self._orders[tid] for _, _, tid in self._entries]
-
 
 class OrderBook:
     """Continuous double auction book over a fixed price range.
@@ -126,10 +124,8 @@ class OrderBook:
     assignments.
     """
 
-    def __init__(self, bounds: PriceBounds = PriceBounds(), multi_unit: bool = False,
-                 eligible=None):
+    def __init__(self, bounds: PriceBounds = PriceBounds(), eligible=None):
         self.bounds = bounds
-        self.multi_unit = multi_unit
         self.eligible = eligible
         self.tape: list[Trade] = []
         self._bids = _BookSide(BID)
@@ -162,12 +158,13 @@ class OrderBook:
         return None
 
     def submit_order(self, order: Order) -> list:
-        """Match-or-rest an incoming order, returning the event list.
+        """Match-or-rest an incoming unit order, returning the event list.
 
         Events appear in causal order: OrderReplaced for any prior order
-        by the same trader, TradeExecuted per fill, then OrderRested if
-        a residual stays on the book.  Raises OrderRejected for bad
-        side, off-range price, bad quantity, or an ineligible trader.
+        by the same trader, then TradeExecuted if the order crosses the
+        best opposite order, else OrderRested.  Raises OrderRejected for
+        bad side, off-range price, a quantity other than 1, or an
+        ineligible trader.
         """
         self._validate(order)
         events = []
@@ -178,29 +175,20 @@ class OrderBook:
         self._next_seq += 1
 
         own, opp = (self._bids, self._asks) if order.side == BID else (self._asks, self._bids)
-        remaining = order.quantity
-        while remaining > 0:
-            best = opp.best()
-            if best is None or not self._crosses(order.side, order.price, best.price):
-                break
-            qty = min(remaining, best.quantity)
-            if order.side == BID:
-                buyer_id, seller_id = order.trader_id, best.trader_id
-            else:
-                buyer_id, seller_id = best.trader_id, order.trader_id
-            trade = Trade(time=order.submit_time, price=best.price,
-                          buyer_id=buyer_id, seller_id=seller_id, quantity=qty)
-            self.tape.append(trade)
-            events.append(TradeExecuted(trade))
-            remaining -= qty
-            if qty == best.quantity:
-                opp.remove(best.trader_id)
-            else:
-                best.quantity -= qty
-        if remaining > 0:
-            order.quantity = remaining
+        best = opp.best()
+        if best is None or not self._crosses(order.side, order.price, best.price):
             own.add(order)
             events.append(OrderRested(order))
+            return events
+        if order.side == BID:
+            buyer_id, seller_id = order.trader_id, best.trader_id
+        else:
+            buyer_id, seller_id = best.trader_id, order.trader_id
+        trade = Trade(time=order.submit_time, price=best.price,
+                      buyer_id=buyer_id, seller_id=seller_id, quantity=1)
+        self.tape.append(trade)
+        events.append(TradeExecuted(trade))
+        opp.remove(best.trader_id)
         return events
 
     @staticmethod
@@ -213,10 +201,9 @@ class OrderBook:
         if not isinstance(order.price, int) or not self.bounds.contains(order.price):
             raise OrderRejected(f"price {order.price!r} outside "
                                 f"[{self.bounds.sys_min}, {self.bounds.sys_max}]")
-        if order.quantity < 1:
-            raise OrderRejected(f"quantity {order.quantity} < 1")
-        if not self.multi_unit and order.quantity != 1:
-            raise OrderRejected("multi-unit orders disabled")
+        if order.quantity != 1:
+            raise OrderRejected(f"quantity {order.quantity} != 1: the book "
+                                f"trades unit orders only")
         if self.eligible is not None and not self.eligible(order.trader_id):
             raise OrderRejected(f"trader {order.trader_id} has no live assignment")
 

@@ -3,13 +3,14 @@
 Genomes are nested tuples in prefix form, e.g. ``("S", ("S", "Pbest", 1),
 "LIMIT")``: operators A/S/M/D (add, subtract, multiply, divide) always
 take two children; terminals are integer constants, the best same-side
-price ``Pbest``, or the customer limit ``LIMIT``.  Every node carries
-the single numeric type, and the genetic operators only ever exchange
-or rewrite nodes of matching type and arity, so all offspring stay
-well-formed by construction.
+price ``Pbest``, or the customer limit ``LIMIT``.  Every node is a
+number, and the genetic operators only ever exchange subtrees or
+rewrite nodes of matching arity, so all offspring stay well-formed by
+construction.
 """
 
 import math
+import random
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -20,7 +21,6 @@ from .seeds import derive_seed
 
 OPERATORS = ("A", "S", "M", "D")
 VARIABLES = ("Pbest", "LIMIT")
-NUMERIC = "num"
 
 
 def is_operator(node) -> bool:
@@ -29,16 +29,6 @@ def is_operator(node) -> bool:
 
 def is_const(node) -> bool:
     return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-
-def node_type(node) -> str:
-    """Type tag used for crossover compatibility.
-
-    The artifact's grammar has a single numeric universe, so every node
-    maps to NUMERIC; the hook is kept so a richer type system only has
-    to change this function.
-    """
-    return NUMERIC
 
 
 def validate_tree(tree, max_depth: int = 0):
@@ -294,7 +284,7 @@ def random_tree(rng, max_depth: int = 4, const_pool=(1, 7), p_leaf: float = 0.3)
 
 
 def crossover(p1, p2, rng, max_depth: int = 8):
-    """Swap uniformly chosen type-compatible subtrees between parents.
+    """Swap uniformly chosen subtrees between parents.
 
     A child that would exceed ``max_depth`` is replaced by its own
     parent unchanged, bounding bloat without biasing which nodes get
@@ -303,10 +293,8 @@ def crossover(p1, p2, rng, max_depth: int = 8):
     paths1 = iter_paths(p1)
     path1 = paths1[rng.randrange(len(paths1))]
     sub1 = subtree_at(p1, path1)
-    want = node_type(sub1)
-    compatible = [p for p in iter_paths(p2)
-                  if node_type(subtree_at(p2, p)) == want]
-    path2 = compatible[rng.randrange(len(compatible))]
+    paths2 = iter_paths(p2)
+    path2 = paths2[rng.randrange(len(paths2))]
     sub2 = subtree_at(p2, path2)
     c1 = replace_at(p1, path1, sub2)
     c2 = replace_at(p2, path2, sub1)
@@ -461,8 +449,6 @@ def run_generation(pop: Population, market_template, gen_params: GenParams,
 
 
 def _breed_rng(seed: int, generation: int):
-    import random
-
     return random.Random(derive_seed(seed, "breed", generation))
 
 

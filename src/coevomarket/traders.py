@@ -1,5 +1,5 @@
 """Quote-price generators: ZIC, GVWY, SHVR, PRZI, and their adaptive
-and evolved wrappers.
+and evolved wrappers, including the PRZI_SHC hill-climber.
 
 Every generator is a pure function of (customer order, visible book,
 rng); rng instances are per-trader and never shared.  All strategies
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import stgp
-from .coevo import AdaptiveClimber
 from .lob import BID, PriceBounds
 
 SNAP = 0.995  # |s| at or beyond this quotes the degenerate endpoint exactly
@@ -137,6 +136,82 @@ def przi_quote(pmf: PrziPmf, rng) -> int:
     """Inverse-CDF sample of a quote price from the PMF."""
     k = bisect_right(pmf.cum, rng.random())
     return pmf.p_lo + min(k, len(pmf.cum) - 1)
+
+
+# --- adaptive strategy (PRZI_SHC) ---
+
+def mutate_strategy(p: float, width: float, rng) -> float:
+    """Propose a nearby strategy value: p + U(-width, +width), clipped
+    to [-1, +1]."""
+    return min(1.0, max(-1.0, p + rng.uniform(-width, width)))
+
+
+class AdaptiveClimber:
+    """k-point stochastic hill-climber over PRZI strategy values.
+
+    Slot 0 holds the prod value P, slots 1..k-1 hold dev candidates.
+    The active slot supplies the trader's quoting behavior until it has
+    completed ``n_trades`` trades, then the next slot takes over; when
+    the last slot finishes, the most profitable value is installed as
+    the new P (the incumbent wins ties) and every other slot is refilled
+    with a fresh mutant of it.
+
+    A trader that never trades never adapts: windows are counted in
+    trades, not time.
+    """
+
+    def __init__(self, s0: float, rng, k: int = 2, n_trades: int = 4,
+                 width: float = 0.05):
+        if not -1.0 <= s0 <= 1.0:
+            raise ValueError(f"initial s {s0} outside [-1, +1]")
+        if k < 2:
+            raise ValueError(f"need at least 2 strategy slots, got k={k}")
+        if n_trades < 1:
+            raise ValueError(f"evaluation window must be >= 1 trade, got {n_trades}")
+        self.k = k
+        self.n_trades = n_trades
+        self.width = width
+        self.rng = rng
+        self.slots = [s0] + [mutate_strategy(s0, width, rng) for _ in range(k - 1)]
+        self.counts = [0] * k
+        self.profits = [0.0] * k
+        self.active = 0
+        self.adoptions = 0
+
+    @property
+    def prod_s(self) -> float:
+        return self.slots[0]
+
+    @property
+    def current_s(self) -> float:
+        return self.slots[self.active]
+
+    def observe_trade(self, profit) -> bool:
+        """Credit one completed trade to the active slot.
+
+        Zero-profit trades still advance the window.  Returns True when
+        this trade completed the last window and an adoption happened.
+        """
+        self.profits[self.active] += profit
+        self.counts[self.active] += 1
+        if self.counts[self.active] < self.n_trades:
+            return False
+        if self.active < self.k - 1:
+            self.active += 1
+            return False
+        best = 0
+        for i in range(1, self.k):
+            if self.profits[i] > self.profits[best]:
+                best = i
+        p = self.slots[best]
+        self.slots[0] = p
+        for i in range(1, self.k):
+            self.slots[i] = mutate_strategy(p, self.width, self.rng)
+        self.counts = [0] * self.k
+        self.profits = [0.0] * self.k
+        self.active = 0
+        self.adoptions += 1
+        return True
 
 
 # --- strategy specifications ---
@@ -280,12 +355,3 @@ class TraderState:
         self.profit += own_profit
         if self.climber is not None:
             self.climber.observe_trade(own_profit)
-
-    def strategy_value(self):
-        """Current strategy coordinate for phase-space logging (the prod
-        value for adaptive traders), or None for non-PRZI kinds."""
-        if self.climber is not None:
-            return self.climber.prod_s
-        if self.strategy.kind == "PRZI":
-            return self.strategy.s
-        return None

@@ -16,16 +16,16 @@ from scipy import stats
 from coevomarket.analysis import (RecurrenceMatrix, default_epsilon,
                                   recurrence_matrix, rqa_metrics,
                                   surrogate_shuffle)
-from coevomarket.coevo import (AdaptiveClimber, detect_attractors,
-                               origin_plateau, quiver_sample)
+from coevomarket.coevo import (detect_attractors, origin_plateau,
+                               quiver_sample)
 from coevomarket.harness import (RosterEntry, Schedule, SessionConfig,
                                  equilibrium_surplus, run_session)
 from coevomarket.lob import ASK, BID, Order, OrderBook, PriceBounds
 from coevomarket.seeds import derive_seed
 from coevomarket.stgp import (GenParams, canonicalize, format_tree,
                               parse_tree, run_experiment)
-from coevomarket.traders import (CustomerOrder, gvwy_quote, parse_strategy,
-                                 przi_pmf, shvr_quote)
+from coevomarket.traders import (AdaptiveClimber, CustomerOrder, gvwy_quote,
+                                 parse_strategy, przi_pmf, shvr_quote)
 from oracles import rqa_oracle
 
 

@@ -38,6 +38,36 @@ def adaptive_session_doc(**kw):
     return doc
 
 
+def quiver_doc(**kw):
+    doc = {"grid_res": 3, "horizon": 60, "reps": 1, "seed": 5,
+           "session": adaptive_session_doc(duration=60)}
+    doc.update(kw)
+    return doc
+
+
+def stgp_doc(**kw):
+    doc = {
+        "generations": 2,
+        "seed_genome": "(S,LIMIT,10)",
+        "seed": 9,
+        "session": {
+            "duration": 200,
+            "roster": [
+                {"count": 4, "prefix": "G", "side": "Bid",
+                 "strategy": "STGP"},
+                {"count": 4, "prefix": "S", "side": "Ask",
+                 "strategy": "ZIC"},
+            ],
+            "schedules": [
+                {"side": "Bid", "p_min": 100, "p_max": 200, "interval": 50},
+                {"side": "Ask", "p_min": 50, "p_max": 150, "interval": 50},
+            ],
+        },
+    }
+    doc.update(kw)
+    return doc
+
+
 # -------------------------------------------------------------------- session
 
 
@@ -104,6 +134,41 @@ def test_unwritable_out_path_returns_io_error(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
+def _with_roster_field(key, value):
+    doc = session_doc()
+    doc["roster"][0][key] = value
+    return doc
+
+
+def _with_schedule_field(key, value):
+    doc = session_doc()
+    doc["schedules"][0][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("quiver", quiver_doc(grid_res="5")),
+    ("quiver", quiver_doc(reps=2.0)),
+    ("session", session_doc(seed="42")),
+    ("session", _with_roster_field("count", 2.0)),
+    ("session", session_doc(sys_max="500")),
+    ("session", _with_schedule_field("p_min", 100.5)),
+    ("stgp", stgp_doc(generations="3")),
+    ("stgp", stgp_doc(const_pool=[1, "7"])),
+], ids=["quiver-grid_res-str", "quiver-reps-float", "session-seed-str",
+        "roster-count-float", "session-sys_max-str", "schedule-p_min-float",
+        "stgp-generations-str", "stgp-const_pool-str"])
+def test_mistyped_config_value_is_a_one_line_error(command, doc, tmp_path,
+                                                   capsys):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "never"
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -114,9 +179,7 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_quiver_writes_one_row_per_grid_point(tmp_path):
-    doc = {"grid_res": 3, "horizon": 60, "reps": 1, "seed": 5,
-           "session": adaptive_session_doc(duration=60)}
-    config = write_config(tmp_path, doc)
+    config = write_config(tmp_path, quiver_doc())
     out = tmp_path / "q"
     assert main(["quiver", "--config", config, "--out", str(out)]) == 0
     lines = (out / "quiver.csv").read_text(encoding="utf8").splitlines()
@@ -167,29 +230,6 @@ def test_coevolve_needs_adaptive_traders(tmp_path):
 
 
 # ----------------------------------------------------------------------- stgp
-
-
-def stgp_doc(**kw):
-    doc = {
-        "generations": 2,
-        "seed_genome": "(S,LIMIT,10)",
-        "seed": 9,
-        "session": {
-            "duration": 200,
-            "roster": [
-                {"count": 4, "prefix": "G", "side": "Bid",
-                 "strategy": "STGP"},
-                {"count": 4, "prefix": "S", "side": "Ask",
-                 "strategy": "ZIC"},
-            ],
-            "schedules": [
-                {"side": "Bid", "p_min": 100, "p_max": 200, "interval": 50},
-                {"side": "Ask", "p_min": 50, "p_max": 150, "interval": 50},
-            ],
-        },
-    }
-    doc.update(kw)
-    return doc
 
 
 def test_stgp_writes_genstats_and_elites(tmp_path):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coevomarket.coevo import (AdaptiveClimber, QuiverField, convergence_score,
+from coevomarket.coevo import (QuiverField, convergence_score,
                                detect_attractors, export_quiver,
-                               mutate_strategy, origin_plateau, quiver_sample)
+                               origin_plateau, quiver_sample)
 from coevomarket.harness import RosterEntry, Schedule, SessionConfig
 from coevomarket.lob import ASK, BID
-from coevomarket.traders import Strategy
+from coevomarket.traders import AdaptiveClimber, Strategy, mutate_strategy
 
 
 class _FixedDraw:
@@ -110,20 +110,6 @@ def test_k3_adopts_argmax_with_incumbent_tie_win():
     assert ac.prod_s == d2
     assert ac.counts == [0, 0, 0]
     assert len(ac.slots) == 3
-
-
-def test_forced_adopt_requires_complete_windows():
-    ac = AdaptiveClimber(0.0, random.Random(8), n_trades=2)
-    ac.observe_trade(1)
-    with pytest.raises(RuntimeError):
-        ac.adopt()
-    ac.observe_trade(1)
-    ac.observe_trade(1)
-    with pytest.raises(RuntimeError):
-        ac.adopt()  # dev window still short
-    ac.observe_trade(1)  # completes and auto-adopts; counters reset
-    with pytest.raises(RuntimeError):
-        ac.adopt()
 
 
 def test_strategy_values_never_leave_range():

@@ -165,36 +165,6 @@ def test_multi_unit_disabled_by_default():
         book.submit_order(_order("b1", BID, 100, qty=3))
 
 
-def test_multi_unit_partial_fill_of_incoming():
-    book = OrderBook(multi_unit=True)
-    book.submit_order(_order("s1", ASK, 100, t=0, qty=2))
-    events = book.submit_order(_order("b1", BID, 100, t=1, qty=5))
-    trades = [e.trade for e in events if isinstance(e, TradeExecuted)]
-    assert [(t.price, t.quantity) for t in trades] == [(100, 2)]
-    assert isinstance(events[-1], OrderRested)
-    assert book.order_of("b1").quantity == 3
-
-
-def test_multi_unit_partial_fill_of_resting():
-    book = OrderBook(multi_unit=True)
-    book.submit_order(_order("s1", ASK, 100, t=0, qty=5))
-    book.submit_order(_order("b1", BID, 100, t=1, qty=2))
-    assert book.order_of("s1").quantity == 3
-    assert book.depth(BID) == 0
-
-
-def test_multi_unit_sweeps_multiple_levels():
-    book = OrderBook(multi_unit=True)
-    book.submit_order(_order("s1", ASK, 100, t=0, qty=1))
-    book.submit_order(_order("s2", ASK, 102, t=0, qty=1))
-    book.submit_order(_order("s3", ASK, 105, t=0, qty=1))
-    events = book.submit_order(_order("b1", BID, 103, t=1, qty=3))
-    trades = [e.trade for e in events if isinstance(e, TradeExecuted)]
-    assert [t.price for t in trades] == [100, 102]  # stops at 105 > 103
-    assert book.order_of("b1").quantity == 1
-    assert book.best_ask() == 105
-
-
 def test_book_never_crossed_under_random_flow():
     rng = random.Random(90125)
     book = OrderBook()
